@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-obs build test race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
+.PHONY: ci fmt vet vet-obs build test perfbench race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
 
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
-# tests, the race-detector pass over the concurrent packages, the seeded
-# chaos matrix, the self-healing chaos soak, the wire-codec fuzz smoke,
-# the metrics-exposition and collector-overhead smoke, the kernel,
-# compiled op-graph, and inference-serving benchmark-regression gates,
-# and the coverage floors. The GitHub workflow (.github/workflows/ci.yml)
-# runs exactly these targets, split across its ci and bench jobs.
-ci: fmt vet vet-obs build test race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
+# tests, the perfbench module's vet and tests, the race-detector pass over
+# the concurrent packages, the seeded chaos matrix, the self-healing chaos
+# soak, the wire-codec fuzz smoke, the metrics-exposition and
+# collector-overhead smoke, the kernel, compiled op-graph, and
+# inference-serving benchmark-regression gates, and the coverage floors.
+# The GitHub workflow (.github/workflows/ci.yml) runs exactly these
+# targets, split across its ci and bench jobs.
+ci: fmt vet vet-obs build test perfbench race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -29,6 +30,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench vets and tests the benchmark harness (BENCHMARK.json). It is
+# its own module (avgpipe/perfbench, replace avgpipe => ../), so the root
+# `go test ./...` never compiles it; without this step a change to an
+# API it calls would leave CI green and break the benchmark.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/comm/... ./internal/heal/... ./internal/net/... ./internal/obs/... ./internal/tensor/... ./internal/compiled/... ./internal/serve/...

@@ -214,7 +214,8 @@ type Averager = core.Averager
 func NewAverager(n int, init []*Param) *Averager { return core.NewAverager(n, init) }
 
 // Pipeline executes one partitioned model with goroutine stage workers,
-// each interpreting its per-GPU op sequence from a Schedule.
+// each replaying its stage's compiled program along its per-GPU op
+// sequence from a Schedule.
 type Pipeline = core.Pipeline
 
 // PipelineConfig selects the schedule plan, partition policy, and

@@ -57,8 +57,9 @@ func main() {
 	fmt.Printf("%-14s  %7.3f   %6.1f GB   (all-reduce bound)\n",
 		"data parallel", dp.BatchTime, float64(dp.PeakMemory())/float64(1<<30))
 
-	// The same Schedule values drive the real runtime: interpret each on
-	// real tensors and check the measured occupancy against the analysis.
+	// The same Schedule values drive the real runtime: run each on real
+	// tensors through the compiled stage workers and check the measured
+	// occupancy against the analysis.
 	const rk, rm = 2, 4
 	task := avgpipe.TranslationTask()
 	batch := task.NewGen(7).NextBatch(task.BatchSize)

@@ -241,7 +241,7 @@ func (b *Builder) Finish(opts Options) (*Program, error) {
 	// Release schedule for dynamic registers: returned to the arena
 	// right after their last use. Boundary tensors are excluded — the
 	// output and emitted dx pass ownership downstream/upstream, externs
-	// are released by EndMicro with interpreter-matching guards.
+	// are released by EndMicro under its aliasing guards.
 	p.release = make([][]Reg, pos)
 	for r := range p.regs {
 		ri := &p.regs[r]

@@ -31,7 +31,7 @@
 //     call the reference Forward/Backward). The planner's release
 //     schedule returns each one to the arena right after its last use.
 //
-// Ownership at stage boundaries matches the interpreter: a tensor sent
+// Ownership at stage boundaries: a tensor sent
 // to another stage (forward activation, upstream gradient) is borrowed
 // per micro-batch and owned by the receiver, so cross-stage buffers are
 // never aliased by slot reuse.

@@ -26,8 +26,8 @@ type Env struct {
 	regs []*tensor.Tensor
 	aux  []any
 
-	// x and dy record the externally provided tensors for the
-	// interpreter-matching release guards in EndMicro.
+	// x and dy record the externally provided tensors for the release
+	// guards in EndMicro.
 	x, dy *tensor.Tensor
 }
 
@@ -76,8 +76,7 @@ func (e *Env) Aux(a AuxID) any { return e.aux[a] }
 func (e *Env) SetAux(a AuxID, v any) { e.aux[a] = v }
 
 // BindInput binds the stage input for this micro-batch. The input is
-// owned by the caller; the Env never releases it (mirroring the
-// interpreter, where the stage worker releases x after backward).
+// owned by the caller; the Env never releases it.
 func (e *Env) BindInput(x *tensor.Tensor) {
 	e.x = x
 	e.regs[e.prog.inReg] = x
@@ -123,7 +122,7 @@ func (e *Env) Output() *tensor.Tensor {
 // ReleaseOutput releases the forward output if this Env owns it per
 // micro-batch (dynamic or borrow-out). The last stage calls this after
 // the loss consumes the logits; slot-backed outputs are kept (they are
-// reused storage, mirroring nothing the interpreter would free).
+// reused storage).
 func (e *Env) ReleaseOutput() {
 	p := e.prog
 	t := e.regs[p.outReg]
@@ -189,23 +188,23 @@ func (e *Env) BackwardWeights() {
 }
 
 // EndMicro finishes the micro-batch: releases the incoming gradient and
-// any non-emitted input gradient with the same pointer guards the
-// interpreter's stage worker uses, then resets extern and dynamic
+// any non-emitted input gradient, guarded against identity passthroughs
+// that return dy itself, then resets extern and dynamic
 // registers so the Env can be rebound. Slot headers persist.
 func (e *Env) EndMicro() {
 	p := e.prog
 	dx := e.rawGradOut()
-	// Mirror the interpreter's stage-0 `dx.Release()` for gradients that
-	// never leave the stage (guard: a passthrough may alias dx == dy).
+	// Stage 0's input gradient has no consumer, so release it here
+	// (guard: a passthrough may alias dx == dy).
 	if !p.emitDX && dx != nil && dx != e.dy {
 		switch p.regs[p.dOutReg].class {
 		case regDynamic, regBorrowOut:
 			dx.Release()
 		}
 	}
-	// Mirror the interpreter's `if x != nil && dx != x { x.Release() }`
-	// ownership rule for the incoming gradient: dy was borrowed by the
-	// upstream stage (or by CrossEntropy on the last stage).
+	// The incoming gradient retires with the micro-batch unless dx
+	// aliases it: dy was borrowed by the downstream stage (or by
+	// CrossEntropy on the last stage).
 	if e.dy != nil && dx != e.dy {
 		e.dy.Release()
 	}

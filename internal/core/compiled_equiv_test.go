@@ -1,61 +1,120 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"avgpipe/internal/data"
+	"avgpipe/internal/nn"
+	"avgpipe/internal/obs"
+	"avgpipe/internal/optim"
 	"avgpipe/internal/sched"
 	"avgpipe/internal/workload"
 )
 
-// TestCompiledEquivalenceAllWorkloads is the permanent bit-exactness
-// gate for the compiled execution path: for every workload task, a
-// trainer running compiled stages must produce round losses bitwise
-// identical (float64 bit patterns) to the reference interpreter from
-// the same seed. Any divergence — a reordered accumulation, a fused
-// kernel with different rounding, a stash corrupted across in-flight
-// micro-batches — trips this before it can masquerade as a tuning
-// artifact.
-func TestCompiledEquivalenceAllWorkloads(t *testing.T) {
-	for _, task := range workload.Tasks() {
-		task := task
-		t.Run(task.Name, func(t *testing.T) {
-			const rounds = 3
-			run := func(compiled bool) []float64 {
-				tr, err := NewTrainer(TrainerConfig{
-					Task: task, Pipelines: 2, Micro: 2, StageCount: 2,
-					Seed: 42, Compiled: compiled,
-				})
-				if err != nil {
-					t.Fatalf("NewTrainer(compiled=%v): %v", compiled, err)
-				}
-				defer tr.Close()
-				losses := make([]float64, rounds)
-				for r := range losses {
-					losses[r] = tr.Step()
-				}
-				return losses
+// sequentialReference is the test oracle for the pipeline runtime: the
+// model's own nn Forward/Backward run one micro-batch at a time in
+// ascending order, then the gradients are scaled to a batch mean exactly
+// as RunBatch does. It returns the mean micro-batch loss.
+func sequentialReference(model *nn.Sequential, batch *data.Batch, m int) float64 {
+	var total float64
+	for _, mb := range batch.Slice(m) {
+		ctx := nn.NewContext()
+		y := model.Forward(ctx, mb.X, true)
+		loss, dlogits := nn.CrossEntropy(y, mb.Targets)
+		model.Backward(ctx, dlogits)
+		total += loss
+	}
+	optim.ScaleGrads(model.Params(), m)
+	return total / float64(m)
+}
+
+// checkBitwise fails t unless the pipeline's loss and every parameter
+// gradient carry exactly the reference's bit patterns.
+func checkBitwise(t *testing.T, loss, refLoss float64, got, ref []*nn.Param) {
+	t.Helper()
+	if math.Float64bits(loss) != math.Float64bits(refLoss) {
+		t.Fatalf("loss %.17g, sequential reference %.17g", loss, refLoss)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("%d params, reference has %d", len(got), len(ref))
+	}
+	for i := range ref {
+		g, r := got[i].G.Data(), ref[i].G.Data()
+		for j := range r {
+			if math.Float32bits(g[j]) != math.Float32bits(r[j]) {
+				t.Fatalf("param %s grad[%d] = %v, reference %v", ref[i].Name, j, g[j], r[j])
 			}
-			ref := run(false)
-			cmp := run(true)
-			for r := range ref {
-				if math.Float64bits(ref[r]) != math.Float64bits(cmp[r]) {
-					t.Fatalf("round %d: interpreter loss %.17g, compiled loss %.17g — paths diverged",
-						r, ref[r], cmp[r])
-				}
-			}
-		})
+		}
 	}
 }
 
-// TestCompiledPipelineOccupancy cross-validates the compiled runtime
-// against the schedule analysis: with the backward split, the measured
+// TestPipelineMatchesSequentialReference is the permanent bit-exactness
+// gate for the stage runtime: for every workload task, schedule family,
+// and pipeline depth, one RunBatch through the compiled stages (2BP
+// split included) must reproduce the sequential nn Forward/Backward
+// reference bit for bit — the loss and every parameter gradient. Any
+// divergence — a reordered accumulation, a fused kernel with different
+// rounding, a stash corrupted across in-flight micro-batches — trips
+// this before it can masquerade as a tuning artifact.
+func TestPipelineMatchesSequentialReference(t *testing.T) {
+	const m = 8
+	for _, task := range workload.Tasks() {
+		batch := task.NewGen(23).NextBatch(16)
+		for _, k := range []int{2, 4} {
+			taper := make([]int, k)
+			for s := range taper {
+				taper[s] = k - 1 - s
+			}
+			plans := []sched.Plan{sched.AFABPlan(), sched.GPipePlan(), sched.OneFOneBPlan(),
+				sched.DapplePlan(), sched.AFPPlan(taper)}
+			for _, plan := range plans {
+				t.Run(fmt.Sprintf("%s/%s/K%d", task.Name, plan.Name, k), func(t *testing.T) {
+					ref := task.NewModel(5)
+					refLoss := sequentialReference(ref, batch, m)
+					model := task.NewModel(5)
+					pl, err := NewPipelineWith(model, PipelineConfig{Stages: k, Plan: plan, Obs: obs.NewRegistry()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkBitwise(t, pl.RunBatch(batch, m), refLoss, model.Params(), ref.Params())
+				})
+			}
+		}
+	}
+	// A fixed schedule runs verbatim, so its combined Bwd ops replay
+	// grad-input and grad-weight inline; that path must match too.
+	t.Run("fixed-unsplit", func(t *testing.T) {
+		task := workload.TranslationTask()
+		batch := task.NewGen(23).NextBatch(16)
+		s := sched.OneFOneB(2, m, 1)
+		for _, ops := range s.PerGPU {
+			for _, op := range ops {
+				if op.Kind == sched.BwdIn || op.Kind == sched.BwdW {
+					t.Fatalf("fixture schedule %s is already split", s.Name)
+				}
+			}
+		}
+		ref := task.NewModel(5)
+		refLoss := sequentialReference(ref, batch, m)
+		model := task.NewModel(5)
+		pl, err := NewPipelineFromSchedule(model, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBitwise(t, pl.RunBatch(batch, m), refLoss, model.Params(), ref.Params())
+	})
+}
+
+// TestCompiledPipelineOccupancy cross-validates the runtime against the
+// schedule analysis: with the backward split, the measured
 // per-stage op counts and stash high-water marks must equal the split
 // schedule's analytic values exactly.
 func TestCompiledPipelineOccupancy(t *testing.T) {
 	task := workload.ClassificationTask()
 	model := task.NewModel(7)
-	pl, err := NewPipelineWith(model, PipelineConfig{Stages: 2, Compiled: true})
+	pl, err := NewPipelineWith(model, PipelineConfig{Stages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +132,7 @@ func TestCompiledPipelineOccupancy(t *testing.T) {
 			case sched.BwdW:
 				bw++
 			case sched.Bwd:
-				t.Fatalf("compiled pipeline schedule still has combined op %v", op)
+				t.Fatalf("plan-built pipeline schedule still has combined op %v", op)
 			}
 		}
 		if bi != m || bw != m {

@@ -18,25 +18,35 @@ import (
 // must equal sched.Analyze's analytic occupancy for the same schedule,
 // and the simulator's RecordDrift against those measured values must be
 // zero — one more triangle leg on top of crossval_test.go, this time
-// through the metrics registry instead of StageMetrics.
+// through the metrics registry instead of StageMetrics. The fixed
+// schedules run combined backwards; the plan-built pipeline runs the
+// 2BP split, whose grad-input and grad-weight ops must land in separate
+// counters.
 func TestObsCrossValidatesScheduleAnalysis(t *testing.T) {
 	task := workload.TranslationTask()
 	const k, m = 2, 8
 	batch := task.NewGen(17).NextBatch(16)
 	w, c, simStages := simFixture(k, m)
 
+	var pipelines []*Pipeline
 	for _, s := range crossValSchedules(k, m) {
-		an, err := sched.Analyze(s)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		reg := obs.NewRegistry()
 		pl, err := NewPipelineFromSchedule(task.NewModel(9), s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
+		pipelines = append(pipelines, pl)
+	}
+	split, err := NewPipelineWith(task.NewModel(9), PipelineConfig{Stages: k, Plan: sched.OneFOneBPlan()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipelines = append(pipelines, split)
+
+	for _, pl := range pipelines {
+		reg := obs.NewRegistry()
 		pl.SetObs(reg)
 		pl.RunBatch(batch, m)
+		s, an := pl.ScheduleFor(m)
 
 		var fwd, bwd, peak []int
 		var totalOps int
@@ -44,10 +54,23 @@ func TestObsCrossValidatesScheduleAnalysis(t *testing.T) {
 			label := strconv.Itoa(st)
 			f := int(reg.Counter("avgpipe_stage_fwd_ops_total", "", "stage", label).Value())
 			b := int(reg.Counter("avgpipe_stage_bwd_ops_total", "", "stage", label).Value())
+			bw := int(reg.Counter("avgpipe_stage_bwdw_ops_total", "", "stage", label).Value())
 			p := int(reg.Gauge("avgpipe_stage_peak_inflight", "", "stage", label).Value())
-			if f != an.Fwd[st] || b != an.Bwd[st] {
-				t.Errorf("%s stage %d: obs %dF %dB, analysis %dF %dB",
-					s.Name, st, f, b, an.Fwd[st], an.Bwd[st])
+			if f != an.Fwd[st] || b != an.Bwd[st] || bw != an.BwdW[st] {
+				t.Errorf("%s stage %d: obs %dF %dB %dBw, analysis %dF %dB %dBw",
+					s.Name, st, f, b, bw, an.Fwd[st], an.Bwd[st], an.BwdW[st])
+			}
+			if pl == split && an.BwdW[st] != m {
+				t.Errorf("%s stage %d: plan-built schedule has %d grad-weight ops, want %d (split)",
+					s.Name, st, an.BwdW[st], m)
+			}
+			// Each op observes its compute time exactly once.
+			fh := reg.Histogram("avgpipe_stage_fwd_seconds", "", nil, "stage", label).Count()
+			bh := reg.Histogram("avgpipe_stage_bwd_seconds", "", nil, "stage", label).Count()
+			wh := reg.Histogram("avgpipe_stage_bwdw_seconds", "", nil, "stage", label).Count()
+			if int(fh) != f || int(bh) != b || int(wh) != bw {
+				t.Errorf("%s stage %d: histogram counts %v/%v/%v, ops %d/%d/%d",
+					s.Name, st, fh, bh, wh, f, b, bw)
 			}
 			if p != an.MaxInFlight[st] {
 				t.Errorf("%s stage %d: obs peak in-flight %d, analysis %d",
@@ -58,7 +81,7 @@ func TestObsCrossValidatesScheduleAnalysis(t *testing.T) {
 				t.Errorf("%s stage %d: bubble fraction %v outside [0,1]", s.Name, st, bubble)
 			}
 			fwd, bwd, peak = append(fwd, f), append(bwd, b), append(peak, p)
-			totalOps += f + b
+			totalOps += f + b + bw
 		}
 		if totalOps != an.TotalOps() {
 			t.Errorf("%s: obs total ops %d, analysis %d", s.Name, totalOps, an.TotalOps())

@@ -22,13 +22,14 @@ import (
 
 // Pipeline executes one model partitioned into stages, with a goroutine
 // per stage connected by buffered channels — the process-per-GPU runtime
-// of §6 mapped onto goroutines. It is a schedule interpreter: each stage
-// worker walks its ordered sched.Op list, receiving, computing, and
-// sending exactly as the op sequence dictates, so a sched.Schedule is
-// the single source of truth for what every stage does. AFAB/GPipe,
-// 1F1B/Dapple, AFP, and any future schedule run on real tensors with
-// zero runtime changes, and the runtime's measured occupancy equals the
-// schedule's analytic occupancy (sched.Analyze) exactly.
+// of §6 mapped onto goroutines. Each stage is lowered once at build time
+// into a compiled op graph (nn.CompileStage), and its worker walks the
+// ordered sched.Op list, receiving, replaying, and sending exactly as
+// the op sequence dictates, so a sched.Schedule is the single source of
+// truth for what every stage does. AFAB/GPipe, 1F1B/Dapple, AFP, and any
+// future schedule run on real tensors with zero runtime changes, and the
+// runtime's measured occupancy equals the schedule's analytic occupancy
+// (sched.Analyze) exactly.
 type Pipeline struct {
 	Stages []*nn.Sequential
 	// Advance is the AFP run-ahead vector of the NewPipeline wrapper
@@ -44,13 +45,11 @@ type Pipeline struct {
 	curAn *sched.Analysis
 	curM  int
 
-	// compiled selects the compiled execution path: each stage lowered
-	// once at build time into a static op graph (progs[s]) that the
-	// stage workers replay per micro-batch, with the backward pass split
-	// 2BP-style into grad-input and grad-weight ops. envPools[s] recycles
-	// per-micro execution environments across batches, keyed by input
-	// shape; each pool is touched only by stage s's worker goroutine.
-	compiled bool
+	// progs[s] is stage s's static op graph, replayed per micro-batch
+	// with the backward pass split 2BP-style into grad-input and
+	// grad-weight ops. envPools[s] recycles per-micro execution
+	// environments across batches, keyed by input shape; each pool is
+	// touched only by stage s's worker goroutine.
 	progs    []*compiled.Program
 	envPools []map[string][]*compiled.Env
 
@@ -75,11 +74,11 @@ type Pipeline struct {
 // stageInstr caches one stage's obs metric handles so the stage worker's
 // hot path is pure atomic updates — no registry lookups per op.
 type stageInstr struct {
-	fwdSec, bwdSec *obs.Histogram
-	waitSec        *obs.Counter
-	fwdOps, bwdOps *obs.Counter
-	bubbleFrac     *obs.Gauge
-	peakInFlight   *obs.Gauge
+	fwdSec, bwdSec, bwdWSec *obs.Histogram
+	waitSec                 *obs.Counter
+	fwdOps, bwdOps, bwdWOps *obs.Counter
+	bubbleFrac              *obs.Gauge
+	peakInFlight            *obs.Gauge
 }
 
 // StageMetrics instruments one stage worker's most recent batch: wall
@@ -88,7 +87,7 @@ type stageInstr struct {
 // timeline — the runtime counterpart of the simulator's busy/idle/stash
 // accounting, cross-validated against sched.Analyze.
 type StageMetrics struct {
-	// Busy is time inside Forward/Backward; Wait is time blocked on
+	// Busy is time replaying the stage's ops; Wait is time blocked on
 	// channel receives.
 	Busy, Wait time.Duration
 	// FwdTime and BwdTime split Busy by pass direction — the per-stage
@@ -142,7 +141,10 @@ const (
 	PartitionCostAware
 )
 
-// PipelineConfig configures NewPipelineWith.
+// PipelineConfig configures NewPipelineWith. Every stage is compiled at
+// build time (kernel dispatch resolved, buffer lifetimes planned, arena
+// slots pre-assigned), and the plan's schedule is split 2BP-style so
+// each backward runs as a grad-input op then a grad-weight op.
 type PipelineConfig struct {
 	// Stages is the pipeline depth K.
 	Stages int
@@ -159,11 +161,7 @@ type PipelineConfig struct {
 	// Obs selects the metrics registry the pipeline records per-stage
 	// compute, wait, and occupancy metrics into (nil = obs.Default()).
 	Obs *obs.Registry
-	// Compiled lowers each stage into a static op graph at build time
-	// (kernel dispatch resolved, buffer lifetimes planned, arena slots
-	// pre-assigned) and replays it per micro-batch, splitting the
-	// backward pass into grad-input and grad-weight ops. Bitwise
-	// equivalent to the interpreter on the same seed.
+	// Deprecated: ignored; every pipeline executes compiled.
 	Compiled bool
 }
 
@@ -171,7 +169,7 @@ type PipelineConfig struct {
 // count and drives them with the AFP schedule for the given advance
 // vector (nil = pure 1F1B). It is a thin wrapper over NewPipelineWith:
 // the hand-rolled channel discipline it used to implement is now just
-// one point in the schedule family the interpreter executes. It panics
+// one point in the schedule family the runtime executes. It panics
 // on a malformed config; NewPipelineWith returns the error instead.
 func NewPipeline(model *nn.Sequential, k int, advance []int) *Pipeline {
 	p, err := NewPipelineWith(model, PipelineConfig{Stages: k, Advance: advance})
@@ -181,10 +179,10 @@ func NewPipeline(model *nn.Sequential, k int, advance []int) *Pipeline {
 	return p
 }
 
-// NewPipelineWith builds a schedule-interpreting pipeline with explicit
-// partitioning and schedule choices. A malformed config (non-positive
-// stage count, advance vector of the wrong length) is an error, not a
-// panic, so callers can degrade gracefully.
+// NewPipelineWith builds a pipeline with explicit partitioning and
+// schedule choices. A malformed config (non-positive stage count,
+// advance vector of the wrong length) is an error, not a panic, so
+// callers can degrade gracefully.
 func NewPipelineWith(model *nn.Sequential, cfg PipelineConfig) (*Pipeline, error) {
 	k := cfg.Stages
 	if k <= 0 {
@@ -208,35 +206,37 @@ func NewPipelineWith(model *nn.Sequential, cfg PipelineConfig) (*Pipeline, error
 	default:
 		bounds = PartitionModelLayers(len(model.Layers), k)
 	}
-	stages := make([]*nn.Sequential, k)
-	for s, b := range bounds {
-		stages[s] = model.Slice(b[0], b[1])
+	p, err := compileStages(model, bounds)
+	if err != nil {
+		return nil, err
 	}
-	p := &Pipeline{Stages: stages, Advance: advance, Trace: cfg.Trace,
-		plan: plan, params: model.Params(), metrics: make([]StageMetrics, k)}
-	if cfg.Compiled {
-		p.compiled = true
-		p.progs = make([]*compiled.Program, k)
-		p.envPools = make([]map[string][]*compiled.Env, k)
-		for s := range stages {
-			prog, err := nn.CompileStage(stages[s], compiled.Options{EmitOut: s < k-1, EmitDX: s > 0})
-			if err != nil {
-				return nil, fmt.Errorf("core: compile stage %d: %w", s, err)
-			}
-			p.progs[s] = prog
-			p.envPools[s] = make(map[string][]*compiled.Env)
-		}
-	}
+	p.Advance, p.Trace, p.plan = advance, cfg.Trace, plan
 	p.SetObs(cfg.Obs)
 	return p, nil
 }
 
-// Compiled reports whether the pipeline executes stages through the
-// compiled op-graph path rather than the reference interpreter.
-func (p *Pipeline) Compiled() bool { return p.compiled }
+// compileStages slices model into one stage per bounds entry and lowers
+// each stage into its compiled program — the one place a Pipeline's
+// stages are built.
+func compileStages(model *nn.Sequential, bounds [][2]int) (*Pipeline, error) {
+	k := len(bounds)
+	p := &Pipeline{Stages: make([]*nn.Sequential, k),
+		progs: make([]*compiled.Program, k), envPools: make([]map[string][]*compiled.Env, k),
+		params: model.Params(), metrics: make([]StageMetrics, k)}
+	for s, b := range bounds {
+		p.Stages[s] = model.Slice(b[0], b[1])
+		prog, err := nn.CompileStage(p.Stages[s], compiled.Options{EmitOut: s < k-1, EmitDX: s > 0})
+		if err != nil {
+			return nil, fmt.Errorf("core: compile stage %d: %w", s, err)
+		}
+		p.progs[s] = prog
+		p.envPools[s] = make(map[string][]*compiled.Env)
+	}
+	return p, nil
+}
 
-// StagePrograms returns the per-stage compiled programs (nil when the
-// pipeline interprets); tests use them to validate plans directly.
+// StagePrograms returns the per-stage compiled programs; tests use them
+// to validate plans directly.
 func (p *Pipeline) StagePrograms() []*compiled.Program { return p.progs }
 
 // SetObs rebinds the pipeline's metrics to reg (nil = obs.Default()) and
@@ -262,13 +262,17 @@ func (p *Pipeline) SetObs(reg *obs.Registry) {
 			fwdSec: reg.Histogram("avgpipe_stage_fwd_seconds",
 				"Per-micro-batch forward compute time by stage.", nil, "stage", st),
 			bwdSec: reg.Histogram("avgpipe_stage_bwd_seconds",
-				"Per-micro-batch backward compute time by stage.", nil, "stage", st),
+				"Per-micro-batch backward (grad-input) compute time by stage.", nil, "stage", st),
+			bwdWSec: reg.Histogram("avgpipe_stage_bwdw_seconds",
+				"Per-micro-batch grad-weight compute time by stage.", nil, "stage", st),
 			waitSec: reg.Counter("avgpipe_stage_wait_seconds_total",
 				"Cumulative time a stage worker blocked on channel receives.", "stage", st),
 			fwdOps: reg.Counter("avgpipe_stage_fwd_ops_total",
 				"Forward micro-batch passes executed by stage.", "stage", st),
 			bwdOps: reg.Counter("avgpipe_stage_bwd_ops_total",
-				"Backward micro-batch passes executed by stage.", "stage", st),
+				"Backward (grad-input) micro-batch passes executed by stage.", "stage", st),
+			bwdWOps: reg.Counter("avgpipe_stage_bwdw_ops_total",
+				"Grad-weight micro-batch passes executed by stage.", "stage", st),
 			bubbleFrac: reg.Gauge("avgpipe_stage_bubble_fraction",
 				"Wait share of the stage's wall clock in the last batch.", "stage", st),
 			peakInFlight: reg.Gauge("avgpipe_stage_peak_inflight",
@@ -277,11 +281,12 @@ func (p *Pipeline) SetObs(reg *obs.Registry) {
 	}
 }
 
-// NewPipelineFromSchedule builds a schedule interpreter over an explicit
-// execution plan: stage s runs schedule.PerGPU[s] verbatim. The schedule
-// must pass sched.Analyze (per-GPU structure plus cross-stage dependency
-// legality) and cover exactly one flush: RunBatch(batch, m) requires its
-// micro set to be 0..m−1.
+// NewPipelineFromSchedule builds a pipeline over an explicit execution
+// plan: stage s runs schedule.PerGPU[s] verbatim, combined Bwd ops
+// included (they replay grad-input and grad-weight back to back). The
+// schedule must pass sched.Analyze (per-GPU structure plus cross-stage
+// dependency legality) and cover exactly one flush: RunBatch(batch, m)
+// requires its micro set to be 0..m−1.
 func NewPipelineFromSchedule(model *nn.Sequential, schedule *sched.Schedule) (*Pipeline, error) {
 	an, err := sched.Analyze(schedule)
 	if err != nil {
@@ -291,16 +296,12 @@ func NewPipelineFromSchedule(model *nn.Sequential, schedule *sched.Schedule) (*P
 		return nil, fmt.Errorf("core: schedule %s micro indices not contiguous from 0 (max %d over %d micros)",
 			schedule.Name, an.MaxMicro, an.Micros)
 	}
-	k := an.Stages
-	bounds := PartitionModelLayers(len(model.Layers), k)
-	stages := make([]*nn.Sequential, k)
-	for s, b := range bounds {
-		stages[s] = model.Slice(b[0], b[1])
+	p, err := compileStages(model, PartitionModelLayers(len(model.Layers), an.Stages))
+	if err != nil {
+		return nil, err
 	}
-	p := &Pipeline{Stages: stages,
-		plan:  sched.Plan{Name: schedule.Name},
-		fixed: schedule, cur: schedule, curAn: an, curM: an.Micros,
-		params: model.Params(), metrics: make([]StageMetrics, k)}
+	p.plan = sched.Plan{Name: schedule.Name}
+	p.fixed, p.cur, p.curAn, p.curM = schedule, schedule, an, an.Micros
 	p.SetObs(nil)
 	return p, nil
 }
@@ -329,14 +330,10 @@ func (p *Pipeline) scheduleFor(m int) (*sched.Schedule, *sched.Analysis) {
 		panic(fmt.Sprintf("core: pipeline built from schedule %q covering %d micro-batches, RunBatch got %d",
 			p.fixed.Name, p.curAn.Micros, m))
 	}
-	s := p.plan.Make(len(p.Stages), m)
-	if p.compiled {
-		// The compiled runtime executes the finer-grained 2BP split: each
-		// combined backward becomes an adjacent BwdIn/BwdW pair, so the
-		// analysis (and the simulator) see the same op stream the stage
-		// workers retire.
-		s = sched.SplitBackward(s)
-	}
+	// The runtime executes the finer-grained 2BP split: each combined
+	// backward becomes an adjacent BwdIn/BwdW pair, so the analysis (and
+	// the simulator) see the same op stream the stage workers retire.
+	s := sched.SplitBackward(p.plan.Make(len(p.Stages), m))
 	an, err := sched.Analyze(s)
 	if err != nil {
 		panic(fmt.Sprintf("core: plan %s produced an illegal schedule: %v", p.plan.Name, err))
@@ -454,11 +451,7 @@ func (p *Pipeline) RunBatchContext(ctx context.Context, batch *data.Batch, micro
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			if p.compiled {
-				p.stageWorkerCompiled(s, k, schedule.PerGPU[s], run)
-			} else {
-				p.stageWorker(s, k, schedule.PerGPU[s], run)
-			}
+			p.stageWorker(s, k, schedule.PerGPU[s], run)
 		}(s)
 	}
 	wg.Wait()
@@ -512,28 +505,68 @@ func (p *Pipeline) monitor(ctx context.Context, schedule *sched.Schedule, run *b
 	}
 }
 
-// stageWorker interprets stage s's op list. A Fwd op receives the
-// micro-batch's activations from upstream, runs the stage forward, and
-// ships the output downstream; a Bwd op receives the output gradient
-// from downstream (the last stage derives it locally from the loss),
-// runs the stage backward, and ships the input gradient upstream.
+// shapeKey renders a tensor shape as an Env-pool map key.
+func shapeKey(shape []int) string { return fmt.Sprint(shape) }
+
+// stageWorker walks stage s's op list by replaying the stage's compiled
+// program: no kernel dispatch, no lifetime decisions, no arena traffic
+// in steady state — those were all resolved when the pipeline was
+// built. A Fwd op receives the micro-batch's activations from upstream
+// and ships the output downstream. Backward is split 2BP-style: BwdIn
+// receives the output gradient from downstream (the last stage derives
+// it locally from the loss), replays the grad-input ops and ships dx
+// upstream immediately; BwdW replays the grad-weight ops afterwards,
+// which is when the micro-batch's Env (its activation stash) retires.
+// Combined Bwd ops (explicit unsplit schedules) run both halves inline.
 // Because the worker follows the schedule verbatim, its measured
 // PeakInFlight equals the schedule's analytic MaxInFlight exactly.
 func (p *Pipeline) stageWorker(s, k int, ops []sched.Op, run *batchRun) {
-	stage := p.Stages[s]
-	ctxs := make(map[int]*nn.Context, len(run.micros))
-	outs := make(map[int]*tensor.Tensor) // last stage: fwd outputs awaiting their bwd
+	prog := p.progs[s]
+	pool := p.envPools[s]
+	envs := make(map[int]*compiled.Env, len(run.micros))
 	pendF := make(map[int]*tensor.Tensor)
 	pendB := make(map[int]*tensor.Tensor)
 	inflight := 0
 	met := StageMetrics{}
 	instr := p.stageInstr[s]
 	defer func() {
+		// Recycle every Env, including those stranded by an abort: the
+		// ownership of their in-flight tensors is indeterminate, so
+		// ResetMicro drops the references without releasing.
+		for _, env := range envs {
+			env.ResetMicro()
+			key := shapeKey(env.InShape())
+			pool[key] = append(pool[key], env)
+		}
 		p.metrics[s] = met
 		instr.waitSec.Add(met.Wait.Seconds())
 		instr.bubbleFrac.Set(met.BubbleFraction())
 		instr.peakInFlight.SetMax(float64(met.PeakInFlight))
 	}()
+
+	getEnv := func(shape []int) *compiled.Env {
+		key := shapeKey(shape)
+		if es := pool[key]; len(es) > 0 {
+			env := es[len(es)-1]
+			pool[key] = es[:len(es)-1]
+			return env
+		}
+		return prog.NewEnv(shape)
+	}
+	putEnv := func(env *compiled.Env) {
+		key := shapeKey(env.InShape())
+		pool[key] = append(pool[key], env)
+	}
+	// retire runs the grad-weight half and returns the micro's Env to
+	// the pool; this is where the schedule's in-flight count drops.
+	retire := func(micro int) {
+		env := envs[micro]
+		env.BackwardWeights()
+		env.EndMicro()
+		delete(envs, micro)
+		putEnv(env)
+		inflight--
+	}
 
 	// recv returns the payload for the requested micro, stashing any
 	// earlier arrivals the op order has not demanded yet (upstream may
@@ -592,191 +625,6 @@ func (p *Pipeline) stageWorker(s, k int, ops []sched.Op, run *batchRun) {
 		}
 		switch op.Kind {
 		case sched.Fwd:
-			ctx := nn.NewContext()
-			y := stage.Forward(ctx, x, true)
-			ctxs[op.Micro] = ctx
-			inflight++
-			met.Fwd++
-			if inflight > met.PeakInFlight {
-				met.PeakInFlight = inflight
-			}
-			if s < k-1 {
-				run.fwdCh[s+1] <- microMsg{micro: op.Micro, t: y}
-			} else {
-				outs[op.Micro] = y
-			}
-		case sched.Bwd, sched.BwdIn:
-			if s == k-1 {
-				// The loss gradient is local: derive it from the stashed
-				// forward output. The logits' last use is the loss, so
-				// their buffer goes back to the arena for the next micro.
-				y := outs[op.Micro]
-				loss, dlogits := nn.CrossEntropy(y, run.micros[op.Micro].Targets)
-				y.Release()
-				run.losses[op.Micro] = loss
-				delete(outs, op.Micro)
-				x = dlogits
-			}
-			// The interpreter cannot split the passes (grad-input and
-			// grad-weight are interleaved inside Module.Backward), so a
-			// BwdIn op runs the full backward and the matching BwdW op
-			// becomes pure bookkeeping — the upstream send still happens
-			// at the earlier BwdIn position, which is the legality the
-			// split schedule encodes.
-			dx := stage.Backward(ctxs[op.Micro], x)
-			delete(ctxs, op.Micro)
-			if op.Kind == sched.Bwd {
-				inflight--
-			}
-			met.Bwd++
-			if s > 0 {
-				run.bwdCh[s-1] <- microMsg{micro: op.Micro, t: dx}
-			} else if dx != nil && dx != x {
-				// Stage 0's input gradient has no consumer.
-				dx.Release()
-			}
-			// The received gradient (or the local loss gradient) retires
-			// with this op; guard against identity passthroughs returning
-			// x itself.
-			if x != nil && dx != x {
-				x.Release()
-			}
-		case sched.BwdW:
-			// Grad weights already accumulated by the BwdIn above; the
-			// micro-batch's stash retires here, as the schedule accounts.
-			inflight--
-			met.BwdW++
-		}
-		dur := time.Since(busyStart)
-		met.Busy += dur
-		run.last.Store(time.Now().UnixNano())
-		if op.Kind == sched.Fwd {
-			met.FwdTime += dur
-			instr.fwdSec.Observe(dur.Seconds())
-			instr.fwdOps.Inc()
-		} else {
-			met.BwdTime += dur
-			instr.bwdSec.Observe(dur.Seconds())
-			instr.bwdOps.Inc()
-		}
-		if p.Trace {
-			met.Ops = append(met.Ops, OpEvent{Index: i, Kind: op.Kind, Micro: op.Micro,
-				Start: busyStart.Sub(run.epoch), Dur: dur})
-		}
-	}
-	run.pos[s].Store(int32(len(ops)))
-}
-
-// shapeKey renders a tensor shape as an Env-pool map key.
-func shapeKey(shape []int) string { return fmt.Sprint(shape) }
-
-// stageWorkerCompiled interprets stage s's op list by replaying the
-// stage's compiled program: no kernel dispatch, no lifetime decisions,
-// no arena traffic in steady state — those were all resolved when the
-// pipeline was built. Backward is split 2BP-style: BwdIn replays the
-// grad-input ops and ships dx upstream immediately, BwdW replays the
-// grad-weight ops afterwards, which is when the micro-batch's Env (its
-// activation stash) retires. Combined Bwd ops (explicit unsplit
-// schedules) run both halves inline.
-func (p *Pipeline) stageWorkerCompiled(s, k int, ops []sched.Op, run *batchRun) {
-	prog := p.progs[s]
-	pool := p.envPools[s]
-	envs := make(map[int]*compiled.Env, len(run.micros))
-	pendF := make(map[int]*tensor.Tensor)
-	pendB := make(map[int]*tensor.Tensor)
-	inflight := 0
-	met := StageMetrics{}
-	instr := p.stageInstr[s]
-	defer func() {
-		// Recycle every Env, including those stranded by an abort: the
-		// ownership of their in-flight tensors is indeterminate, so
-		// ResetMicro drops the references without releasing.
-		for _, env := range envs {
-			env.ResetMicro()
-			key := shapeKey(env.InShape())
-			pool[key] = append(pool[key], env)
-		}
-		p.metrics[s] = met
-		instr.waitSec.Add(met.Wait.Seconds())
-		instr.bubbleFrac.Set(met.BubbleFraction())
-		instr.peakInFlight.SetMax(float64(met.PeakInFlight))
-	}()
-
-	getEnv := func(shape []int) *compiled.Env {
-		key := shapeKey(shape)
-		if es := pool[key]; len(es) > 0 {
-			env := es[len(es)-1]
-			pool[key] = es[:len(es)-1]
-			return env
-		}
-		return prog.NewEnv(shape)
-	}
-	putEnv := func(env *compiled.Env) {
-		key := shapeKey(env.InShape())
-		pool[key] = append(pool[key], env)
-	}
-	// retire runs the grad-weight half and returns the micro's Env to
-	// the pool; this is where the schedule's in-flight count drops.
-	retire := func(micro int) {
-		env := envs[micro]
-		env.BackwardWeights()
-		env.EndMicro()
-		delete(envs, micro)
-		putEnv(env)
-		inflight--
-	}
-
-	recv := func(ch chan microMsg, pending map[int]*tensor.Tensor, micro int) (*tensor.Tensor, bool) {
-		if t, ok := pending[micro]; ok {
-			delete(pending, micro)
-			return t, true
-		}
-		start := time.Now()
-		for {
-			select {
-			case msg := <-ch:
-				if msg.micro == micro {
-					met.Wait += time.Since(start)
-					return msg.t, true
-				}
-				pending[msg.micro] = msg.t
-			case <-run.abort:
-				met.Wait += time.Since(start)
-				return nil, false
-			}
-		}
-	}
-
-	for i, op := range ops {
-		run.pos[s].Store(int32(i))
-		select {
-		case <-run.abort:
-			return
-		default:
-		}
-		var x *tensor.Tensor
-		ok := true
-		switch op.Kind {
-		case sched.Fwd:
-			if s == 0 {
-				x = run.micros[op.Micro].X
-			} else {
-				x, ok = recv(run.fwdCh[s], pendF, op.Micro)
-			}
-		case sched.Bwd, sched.BwdIn:
-			if s < k-1 {
-				x, ok = recv(run.bwdCh[s], pendB, op.Micro)
-			}
-		}
-		if !ok {
-			return
-		}
-		busyStart := time.Now()
-		if d := p.faults.StageDelay(p.pipeID, s, i); d > 0 {
-			time.Sleep(d)
-		}
-		switch op.Kind {
-		case sched.Fwd:
 			env := getEnv(x.Shape())
 			env.BindInput(x)
 			env.Forward()
@@ -817,11 +665,16 @@ func (p *Pipeline) stageWorkerCompiled(s, k int, ops []sched.Op, run *batchRun) 
 		dur := time.Since(busyStart)
 		met.Busy += dur
 		run.last.Store(time.Now().UnixNano())
-		if op.Kind == sched.Fwd {
+		switch op.Kind {
+		case sched.Fwd:
 			met.FwdTime += dur
 			instr.fwdSec.Observe(dur.Seconds())
 			instr.fwdOps.Inc()
-		} else {
+		case sched.BwdW:
+			met.BwdTime += dur
+			instr.bwdWSec.Observe(dur.Seconds())
+			instr.bwdWOps.Inc()
+		default:
 			met.BwdTime += dur
 			instr.bwdSec.Observe(dur.Seconds())
 			instr.bwdOps.Inc()

@@ -38,10 +38,7 @@ type TrainerConfig struct {
 	Partition PartitionMode
 	// Trace records per-op timestamps in every pipeline's StageMetrics.
 	Trace bool
-	// Compiled runs every pipeline through the compiled op-graph path
-	// (static per-stage op lists with the 2BP backward split) instead of
-	// the reference interpreter. Loss-bitwise-equivalent for the same
-	// seed; logged per round in StepRecord.Compiled.
+	// Deprecated: ignored; every pipeline executes compiled.
 	Compiled bool
 	// Seed derives all replica initializations and data streams.
 	Seed int64
@@ -152,9 +149,6 @@ type StepRecord struct {
 	// the owning replica's id in dist mode, -1 for a single-process run
 	// (where every replica is local and Losses carries the breakdown).
 	ReplicaID int `json:"replica_id"`
-	// Compiled records which execution path produced the round, so runs
-	// comparing the two paths are distinguishable from their logs alone.
-	Compiled bool `json:"compiled"`
 }
 
 // NewTrainer builds the replicas, data streams, optimizers, and the
@@ -222,7 +216,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		pl, err := NewPipelineWith(m, PipelineConfig{
 			Stages: cfg.StageCount, Plan: cfg.Plan, Advance: cfg.Advance,
 			Partition: cfg.Partition, Trace: cfg.Trace, Obs: cfg.Obs,
-			Compiled: cfg.Compiled,
 		})
 		if err != nil {
 			return nil, err
@@ -399,7 +392,6 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 		Live:       live,
 		Losses:     losses,
 		ReplicaID:  -1,
-		Compiled:   t.cfg.Compiled,
 	}); err != nil {
 		return loss, fmt.Errorf("core: step log: %w", err)
 	}
@@ -484,7 +476,6 @@ func (t *Trainer) stepDist(ctx context.Context) (float64, error) {
 		Live:       t.avg.LiveReplicas(),
 		Replica:    p,
 		ReplicaID:  p,
-		Compiled:   t.cfg.Compiled,
 	}); err != nil {
 		return loss, fmt.Errorf("core: step log: %w", err)
 	}

@@ -3,7 +3,8 @@
 // truth for what every stage does. A schedule fixes, for every GPU, the
 // total order in which it runs forward and backward passes of
 // micro-batches; the simulator (internal/pipesim) and the real runtime
-// (core.Pipeline, a schedule interpreter) both execute these sequences
+// (core.Pipeline, whose stage workers replay compiled programs) both
+// execute these sequences
 // verbatim, so any schedule added here runs end-to-end on real tensors
 // and in simulation with zero runtime changes.
 //

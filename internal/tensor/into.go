@@ -8,8 +8,8 @@ import "fmt"
 // borrowing from the arena per call. Every variant evaluates the exact
 // same float expressions, in the same order, as the allocating kernel
 // it mirrors, so replaying a compiled stage is bit-identical to the
-// interpreter (compiled_equiv tests in internal/core enforce this
-// end-to-end).
+// modules' reference Forward/Backward (TestPipelineMatchesSequentialReference
+// in internal/core enforces this end-to-end).
 
 // ApplyInto sets dst[i] = f(t[i]), fully overwriting dst.
 func ApplyInto(dst, t *Tensor, f func(float32) float32) {
